@@ -11,8 +11,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -23,64 +25,88 @@ import (
 )
 
 func main() {
-	var (
-		kind   = flag.String("topo", "leafspine", "topology: leafspine | hetero")
-		spines = flag.Int("spines", 3, "spine count")
-		leaves = flag.Int("leaves", 4, "leaf count")
-		fails  = flag.String("fail", "", "links to fail, e.g. L0-S0,L2-S1")
-		pair   = flag.String("pair", "", "only show this src-dst leaf pair, e.g. L3-L1")
-	)
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
+// run is the whole command: it returns 0 on success and 2 on a usage
+// error, which it reports on stderr.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("quiverdump", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		kind   = fs.String("topo", "leafspine", "topology: leafspine | hetero")
+		spines = fs.Int("spines", 3, "spine count")
+		leaves = fs.Int("leaves", 4, "leaf count")
+		fails  = fs.String("fail", "", "links to fail, e.g. L0-S0,L2-S1")
+		pair   = fs.String("pair", "", "only show this src-dst leaf pair, e.g. L3-L1")
+	)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if err := dump(stdout, *kind, *spines, *leaves, *fails, *pair); err != nil {
+		fmt.Fprintf(stderr, "quiverdump: %v\n", err)
+		return 2
+	}
+	return 0
+}
+
+func dump(w io.Writer, kind string, spines, leaves int, fails, pair string) error {
 	var t *topo.Topology
-	switch *kind {
+	switch kind {
 	case "leafspine":
-		t = topo.LeafSpine(topo.LeafSpineConfig{Spines: *spines, Leaves: *leaves,
+		t = topo.LeafSpine(topo.LeafSpineConfig{Spines: spines, Leaves: leaves,
 			HostsPerLeaf: 1, HostRate: 10 * units.Gbps, CoreRate: 40 * units.Gbps})
 	case "hetero":
-		t = topo.Heterogeneous(topo.HeterogeneousConfig{Spines: *spines, Leaves: *leaves,
+		t = topo.Heterogeneous(topo.HeterogeneousConfig{Spines: spines, Leaves: leaves,
 			HostsPerLeaf: 1})
 	default:
-		fmt.Fprintf(os.Stderr, "quiverdump: unknown topology %q\n", *kind)
-		os.Exit(2)
+		return fmt.Errorf("unknown topology %q", kind)
 	}
 
-	spineIDs := map[int]topo.NodeID{}
-	i := 0
+	var spineIDs []topo.NodeID
 	for _, n := range t.Nodes {
 		if n.Kind == topo.Spine {
-			spineIDs[i] = n.ID
-			i++
+			spineIDs = append(spineIDs, n.ID)
 		}
 	}
-	leafAt := func(i int) topo.NodeID {
+	leafAt := func(i int) (topo.NodeID, error) {
 		if i < 0 || i >= len(t.Leaves) {
-			fmt.Fprintf(os.Stderr, "quiverdump: leaf L%d out of range\n", i)
-			os.Exit(2)
+			return 0, fmt.Errorf("leaf L%d out of range", i)
 		}
-		return t.Leaves[i]
+		return t.Leaves[i], nil
+	}
+	spineAt := func(i int) (topo.NodeID, error) {
+		if i < 0 || i >= len(spineIDs) {
+			return 0, fmt.Errorf("spine S%d out of range", i)
+		}
+		return spineIDs[i], nil
 	}
 
-	if *fails != "" {
-		for _, f := range strings.Split(*fails, ",") {
+	if fails != "" {
+		for _, f := range strings.Split(fails, ",") {
 			parts := strings.SplitN(strings.TrimSpace(f), "-", 2)
 			if len(parts) != 2 || parts[0] == "" || parts[1] == "" {
-				fmt.Fprintf(os.Stderr, "quiverdump: bad -fail entry %q (want L0-S0)\n", f)
-				os.Exit(2)
+				return fmt.Errorf("bad -fail entry %q (want L0-S0)", f)
 			}
 			li, err1 := strconv.Atoi(strings.TrimPrefix(parts[0], "L"))
 			si, err2 := strconv.Atoi(strings.TrimPrefix(parts[1], "S"))
 			if err1 != nil || err2 != nil {
-				fmt.Fprintf(os.Stderr, "quiverdump: bad -fail entry %q\n", f)
-				os.Exit(2)
+				return fmt.Errorf("bad -fail entry %q", f)
 			}
-			links := t.LinkBetween(leafAt(li), spineIDs[si])
+			leaf, err := leafAt(li)
+			if err != nil {
+				return err
+			}
+			spine, err := spineAt(si)
+			if err != nil {
+				return err
+			}
+			links := t.LinkBetween(leaf, spine)
 			if len(links) == 0 {
-				fmt.Fprintf(os.Stderr, "quiverdump: no up link L%d-S%d\n", li, si)
-				os.Exit(2)
+				return fmt.Errorf("no up link L%d-S%d", li, si)
 			}
 			t.FailLink(links[0])
-			fmt.Printf("failed L%d-S%d\n", li, si)
+			fmt.Fprintf(w, "failed L%d-S%d\n", li, si)
 		}
 	}
 
@@ -89,30 +115,46 @@ func main() {
 
 	show := func(src, dst topo.NodeID) {
 		comps := q.Decompose(src, dst)
-		fmt.Printf("\n%s -> %s: %d symmetric component(s)\n",
+		fmt.Fprintf(w, "\n%s -> %s: %d symmetric component(s)\n",
 			t.Nodes[src].Name, t.Nodes[dst].Name, len(comps))
-		for ci, c := range comps {
-			fmt.Printf("  component %d  weight=%d  capacity=%v\n", ci, c.Weight, c.Capacity)
-			for _, p := range c.Paths {
+		paths := r.Paths(src, dst)
+		for ci := range comps {
+			c := &comps[ci]
+			fmt.Fprintf(w, "  component %d  weight=%d  capacity=%v\n", ci, c.Weight, c.Capacity)
+			for _, p := range paths {
+				if !q.Member(c, p) {
+					continue
+				}
 				names := make([]string, 0, len(p)+1)
 				for _, nid := range r.PathNodes(src, p) {
 					names = append(names, t.Nodes[nid].Name)
 				}
-				fmt.Printf("    %s\n", strings.Join(names, " -> "))
+				fmt.Fprintf(w, "    %s\n", strings.Join(names, " -> "))
 			}
 		}
 	}
 
-	if *pair != "" {
-		parts := strings.SplitN(*pair, "-", 2)
+	if pair != "" {
+		errPair := errors.New("bad -pair (want L3-L1)")
+		parts := strings.SplitN(pair, "-", 2)
+		if len(parts) != 2 {
+			return errPair
+		}
 		si, err1 := strconv.Atoi(strings.TrimPrefix(parts[0], "L"))
 		di, err2 := strconv.Atoi(strings.TrimPrefix(parts[1], "L"))
-		if len(parts) != 2 || err1 != nil || err2 != nil {
-			fmt.Fprintf(os.Stderr, "quiverdump: bad -pair (want L3-L1)\n")
-			os.Exit(2)
+		if err1 != nil || err2 != nil {
+			return errPair
 		}
-		show(leafAt(si), leafAt(di))
-		return
+		src, err := leafAt(si)
+		if err != nil {
+			return err
+		}
+		dst, err := leafAt(di)
+		if err != nil {
+			return err
+		}
+		show(src, dst)
+		return nil
 	}
 	for _, src := range t.Leaves {
 		for _, dst := range t.Leaves {
@@ -121,4 +163,5 @@ func main() {
 			}
 		}
 	}
+	return nil
 }

@@ -31,7 +31,7 @@ func main() {
 	fmt.Printf("after failing L0-S0, L3→L1 decomposes into %d symmetric components:\n", len(comps))
 	for i, c := range comps {
 		fmt.Printf("  component %d: %d path(s), weight %d, capacity %v\n",
-			i, len(c.Paths), c.Weight, c.Capacity)
+			i, c.NumPaths, c.Weight, c.Capacity)
 	}
 	fmt.Println()
 

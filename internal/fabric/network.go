@@ -484,16 +484,17 @@ func (d *groupDeduper) Count() int32 { return d.count }
 func (d *groupDeduper) ID(ports []int32) int32 { return d.id(ports) }
 
 func (d *groupDeduper) id(ports []int32) int32 {
-	key := make([]byte, 0, 4*len(ports))
+	var buf [64]byte
+	key := buf[:0]
 	for _, p := range ports {
 		key = append(key, byte(p), byte(p>>8), byte(p>>16), byte(p>>24))
 	}
-	k := string(key)
-	if id, ok := d.ids[k]; ok {
+	// Lookups by string(key) do not copy the key; only a new entry does.
+	if id, ok := d.ids[string(key)]; ok {
 		return id
 	}
 	id := d.count
-	d.ids[k] = id
+	d.ids[string(key)] = id
 	d.count++
 	return id
 }

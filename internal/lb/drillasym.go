@@ -2,7 +2,7 @@ package lb
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"drill/internal/fabric"
 	"drill/internal/quiver"
@@ -46,7 +46,7 @@ func (d *DRILLAsym) BuildTables(net *fabric.Network) {
 				for _, cid := range c.FirstHops {
 					ports = append(ports, net.PortOfChan(cid).Index)
 				}
-				sort.Slice(ports, func(i, j int) bool { return ports[i] < ports[j] })
+				slices.Sort(ports)
 				groups = append(groups, fabric.Group{
 					ID:     ded.ID(ports),
 					Ports:  ports,

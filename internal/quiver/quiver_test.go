@@ -1,6 +1,7 @@
 package quiver
 
 import (
+	"slices"
 	"testing"
 
 	"drill/internal/topo"
@@ -64,7 +65,7 @@ func TestFig4FailureDecomposition(t *testing.T) {
 	}
 	var solo, pair *Component
 	for i := range comps {
-		switch len(comps[i].Paths) {
+		switch comps[i].NumPaths {
 		case 1:
 			solo = &comps[i]
 		case 2:
@@ -72,10 +73,10 @@ func TestFig4FailureDecomposition(t *testing.T) {
 		}
 	}
 	if solo == nil || pair == nil {
-		t.Fatalf("bad split: %d and %d paths", len(comps[0].Paths), len(comps[1].Paths))
+		t.Fatalf("bad split: %d and %d paths", comps[0].NumPaths, comps[1].NumPaths)
 	}
 	// The solo component goes via S0.
-	first := tp.Chan(solo.Paths[0][0])
+	first := tp.Chan(solo.FirstHops[0])
 	if first.To != spines[0] {
 		t.Errorf("solo component via %v, want S0", first.To)
 	}
@@ -123,29 +124,27 @@ func TestDecompositionIsPartition(t *testing.T) {
 			}
 			all := r.Paths(src, dst)
 			comps := q.Decompose(src, dst)
+			home := make([]int, len(all))
 			n := 0
 			for ci := range comps {
-				c := &comps[ci]
-				n += len(c.Paths)
-				for i := 0; i < len(c.Paths); i++ {
-					for j := i + 1; j < len(c.Paths); j++ {
-						if !q.Symmetric(c.Paths[i], c.Paths[j]) {
-							t.Fatalf("asymmetric paths grouped: %v vs %v", c.Paths[i], c.Paths[j])
-						}
-					}
-				}
-				for cj := ci + 1; cj < len(comps); cj++ {
-					for _, p1 := range c.Paths {
-						for _, p2 := range comps[cj].Paths {
-							if q.Symmetric(p1, p2) {
-								t.Fatalf("symmetric paths split across components")
-							}
-						}
+				n += comps[ci].NumPaths
+				for pi, p := range all {
+					if q.Member(&comps[ci], p) {
+						home[pi] = ci
 					}
 				}
 			}
 			if n != len(all) {
 				t.Fatalf("partition lost paths: %d vs %d", n, len(all))
+			}
+			for i := range all {
+				for j := i + 1; j < len(all); j++ {
+					same := home[i] == home[j]
+					if sym := q.Symmetric(all[i], all[j]); sym != same {
+						t.Fatalf("paths %v and %v: symmetric=%v but same component=%v",
+							all[i], all[j], sym, same)
+					}
+				}
 			}
 		}
 	}
@@ -240,5 +239,24 @@ func TestScoresDistinguishLabeledLinks(t *testing.T) {
 	}
 	if !foundL0 {
 		t.Fatal("S1→L1 missing the L0→L1 label")
+	}
+}
+
+// TestLabelsMatchOracle checks the inspection recompute of every channel's
+// label set against the enumerating builder's stored sets, on a failed
+// Fig. 4 fabric and a mixed-rate leaf–spine.
+func TestLabelsMatchOracle(t *testing.T) {
+	tp, leaves, spines := fig4()
+	tp.FailLink(tp.LinkBetween(leaves[0], spines[0])[0])
+	mixed := fuzzTopo(7, 1, 2, 1, 0)
+	for _, tp := range []*topo.Topology{tp, mixed} {
+		r := topo.ComputeRoutes(tp)
+		q, o := Build(r), oracleBuild(r)
+		for c := range q.scores {
+			got, want := q.Labels(topo.ChanID(c)), o.sortedLabels(topo.ChanID(c))
+			if !slices.Equal(got, want) {
+				t.Fatalf("channel %d: labels %v, enumeration gives %v", c, got, want)
+			}
+		}
 	}
 }

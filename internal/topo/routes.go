@@ -98,10 +98,19 @@ func (r *Routes) NextHops(node, dstLeaf NodeID) []ChanID {
 	return r.next[r.topo.LeafIndex(dstLeaf)][node]
 }
 
+// Toward returns the next-hop table toward dstLeaf for every node at once:
+// entry n is NextHops(n, dstLeaf). The table is shared; callers must not
+// mutate it.
+func (r *Routes) Toward(dstLeaf NodeID) [][]ChanID {
+	return r.next[r.topo.LeafIndex(dstLeaf)]
+}
+
 // Paths enumerates every shortest path from node src to leaf dst as channel
-// sequences. In Clos fabrics path counts are small (≤ spines for 2-stage,
-// ≤ aggs×cores for 3-stage), so full enumeration is cheap; it feeds the
-// Quiver construction (§3.4.1) and Presto's source routing.
+// sequences. The number of paths grows with the product of the tiers' fan-
+// outs (aggs×cores per leaf pair in a 3-stage fabric), so nothing built for
+// every switch and destination should call it: the Quiver walks the
+// next-hop DAG instead. It serves WCMP's path weights, Presto's source
+// routes, the inspection tools and the tests.
 func (r *Routes) Paths(src, dst NodeID) [][]ChanID {
 	if src == dst {
 		return [][]ChanID{{}}
