@@ -96,6 +96,7 @@ func NewSelector(d, m int, rng *rand.Rand) *core.Selector {
 
 // LeafSpine builds a symmetric two-stage Clos with 40G core and 10G host
 // links. Use LeafSpineConfig via the topology package for full control.
+// It panics unless every count is at least 1.
 func LeafSpine(spines, leaves, hostsPerLeaf int) *Topology {
 	return topo.LeafSpine(topo.LeafSpineConfig{
 		Spines: spines, Leaves: leaves, HostsPerLeaf: hostsPerLeaf,
@@ -136,8 +137,12 @@ func Heterogeneous(spines, leaves, hostsPerLeaf int) *Topology {
 func DRILL() Balancer { return lb.NewDRILLAsym() }
 
 // DRILLdm returns DRILL with explicit sample and memory counts, without
-// the asymmetry control plane (for parameter studies).
-func DRILLdm(d, m int) Balancer { return &lb.DRILL{D: d, M: m} }
+// the asymmetry control plane (for parameter studies). It panics unless
+// d >= 1 and m >= 0.
+func DRILLdm(d, m int) Balancer {
+	core.CheckParams(d, m)
+	return &lb.DRILL{D: d, M: m}
+}
 
 // ECMP returns per-flow hashing, the datacenter default.
 func ECMP() Balancer { return lb.ECMP{} }

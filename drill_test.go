@@ -2,6 +2,7 @@ package drill_test
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"drill"
@@ -167,6 +168,40 @@ func TestTopologyBuildersPublic(t *testing.T) {
 	}
 	if got := len(drill.Heterogeneous(4, 4, 6).Hosts); got != 24 {
 		t.Errorf("Heterogeneous hosts = %d", got)
+	}
+}
+
+// TestFacadeRejectsBadParameters checks that bad topology and balancer
+// parameters fail where they are given, with the owning package's
+// message, rather than as a runtime panic deep in the engine (or not at
+// all).
+func TestFacadeRejectsBadParameters(t *testing.T) {
+	for _, c := range []struct {
+		name, want string
+		build      func()
+	}{
+		{"LeafSpine(-1,2,2)", "topo: leaf-spine needs", func() { drill.LeafSpine(-1, 2, 2) }},
+		{"LeafSpine(0,0,0)", "topo: leaf-spine needs", func() { drill.LeafSpine(0, 0, 0) }},
+		{"LeafSpine(2,2,0)", "topo: leaf-spine needs", func() { drill.LeafSpine(2, 2, 0) }},
+		{"DRILLdm(0,0)", "core: DRILL requires d >= 1", func() { drill.DRILLdm(0, 0) }},
+		{"DRILLdm(2,-1)", "core: DRILL requires m >= 0", func() { drill.DRILLdm(2, -1) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, c.want) {
+					t.Errorf("panic %q, want a message starting %q", msg, c.want)
+				}
+			}()
+			c.build()
+		})
+	}
+	// The smallest valid shapes still build.
+	if got := len(drill.LeafSpine(1, 1, 1).Hosts); got != 1 {
+		t.Errorf("LeafSpine(1,1,1) hosts = %d, want 1", got)
+	}
+	if b := drill.DRILLdm(1, 0); b.Name() != "DRILL(1,0)" {
+		t.Errorf("DRILLdm(1,0) name = %q", b.Name())
 	}
 }
 

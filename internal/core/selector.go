@@ -39,17 +39,25 @@ type Selector struct {
 // d must be >= 1; m >= 0 (m = 0 yields the provably unstable memoryless
 // variant, kept for the Theorem 1 experiments).
 func NewSelector(d, m int, rng *rand.Rand) *Selector {
-	if d < 1 {
-		panic("core: DRILL requires d >= 1")
-	}
-	if m < 0 {
-		panic("core: DRILL requires m >= 0")
-	}
+	CheckParams(d, m)
 	return &Selector{
 		d: d, m: m, rng: rng,
 		mem:   make([]int32, 0, m),
 		cand:  make([]int32, 0, d+m),
 		loads: make([]int64, 0, d+m),
+	}
+}
+
+// CheckParams panics unless (d, m) is a valid DRILL configuration: d >= 1
+// samples and m >= 0 memory units. Constructors that only record (d, m)
+// for selectors built later call it so bad parameters fail where they
+// are given, not at the first forwarded packet.
+func CheckParams(d, m int) {
+	if d < 1 {
+		panic("core: DRILL requires d >= 1")
+	}
+	if m < 0 {
+		panic("core: DRILL requires m >= 0")
 	}
 }
 

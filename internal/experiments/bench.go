@@ -136,6 +136,13 @@ type MicroAllocs struct {
 	// zero by the shard alloc-ceiling test: the barrier path reuses its
 	// outboxes, rings, and interned events at steady state.
 	ShardWindow float64 `json:"shard_window"`
+	// SchedDense: one 1.024µs window of dispatch on a warm scheduler
+	// crowded with 1024 self-re-arming sources at a fabric hop's offsets
+	// (60ns visibility, 200ns wire, 1.23µs serialization) — ~2000 events
+	// through the open window's sub-buckets per operation. Pinned at zero
+	// by the scheduler's alloc-ceiling test: the sub-bucket arrays and the
+	// dispatch list keep their capacity from window to window.
+	SchedDense float64 `json:"sched_dense"`
 }
 
 // BenchReport is the BENCH_*.json document.
@@ -257,14 +264,15 @@ func RunBench(seed int64, progress func(format string, args ...any)) BenchReport
 	}
 	rep.Micro = BenchMicroAllocs()
 	if progress != nil {
-		progress("micro: timer reset+stop %.2f, pool get+put %.2f, send→deliver %.2f allocs/op",
-			rep.Micro.TimerResetStop, rep.Micro.PoolGetPut, rep.Micro.SendDeliver)
+		progress("micro: timer reset+stop %.2f, pool get+put %.2f, send→deliver %.2f, dense window %.2f allocs/op",
+			rep.Micro.TimerResetStop, rep.Micro.PoolGetPut, rep.Micro.SendDeliver, rep.Micro.SchedDense)
 	}
 	return rep
 }
 
 // BenchMicroAllocs measures the per-operation allocation cost of the
-// timer re-arm, packet recycle, and send→deliver paths.
+// timer re-arm, packet recycle, send→deliver, shard window, and dense
+// open-window scheduling paths.
 func BenchMicroAllocs() MicroAllocs {
 	var m MicroAllocs
 
@@ -324,6 +332,27 @@ func BenchMicroAllocs() MicroAllocs {
 		}
 		m.ShardWindow = testing.AllocsPerRun(500, op)
 		done()
+	}
+
+	// One open window of dense dispatch. Warm-up covers two wheel
+	// revolutions, so every calendar bucket and every sub-bucket array
+	// has grown to its steady capacity before measuring.
+	{
+		s := sim.New(1)
+		offsets := [...]units.Time{60 * units.Nanosecond, 200 * units.Nanosecond, 1230 * units.Nanosecond}
+		for i := 0; i < 1024; i++ {
+			k := i
+			var id sim.FnID
+			id = s.Register(func() {
+				k++
+				s.AfterID(offsets[k%len(offsets)], id)
+			})
+			s.AtID(units.Time(i)*units.Nanosecond, id)
+		}
+		s.RunUntil(9 * units.Millisecond)
+		m.SchedDense = testing.AllocsPerRun(500, func() {
+			s.RunUntil(s.Now() + units.Microsecond)
+		})
 	}
 	return m
 }

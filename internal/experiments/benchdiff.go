@@ -120,6 +120,7 @@ func DiffBench(baseline, current *BenchReport) *BenchDiff {
 		{"micro.pool_get_put", baseline.Micro.PoolGetPut, current.Micro.PoolGetPut},
 		{"micro.send_deliver", baseline.Micro.SendDeliver, current.Micro.SendDeliver},
 		{"micro.shard_window", baseline.Micro.ShardWindow, current.Micro.ShardWindow},
+		{"micro.sched_dense", baseline.Micro.SchedDense, current.Micro.SchedDense},
 	}
 	for _, m := range micro {
 		add(BenchFinding{Cell: "micro", Metric: m.name, Baseline: m.base, Current: m.cu,

@@ -97,6 +97,7 @@ func TestDiffBenchFlagsRegressions(t *testing.T) {
 	cur.Cells[0].EventsPerSec = base.Cells[0].EventsPerSec * 0.5 // −50% > 25% tol
 	cur.Cells[1].AllocsPerEvent = base.Cells[1].AllocsPerEvent + 1.0
 	cur.Micro.PoolGetPut = 1.0
+	cur.Micro.SchedDense = 1.0
 	d := DiffBench(base, cur)
 	if !findDiff(t, d, "ecmp-load0.5", "events_per_sec").Regressed {
 		t.Error("50% events/s drop not flagged")
@@ -107,8 +108,11 @@ func TestDiffBenchFlagsRegressions(t *testing.T) {
 	if !findDiff(t, d, "micro", "micro.pool_get_put").Regressed {
 		t.Error("micro alloc regression not flagged")
 	}
-	if d.Regressions != 3 {
-		t.Errorf("regressions = %d, want 3:\n%s", d.Regressions, d.Format())
+	if !findDiff(t, d, "micro", "micro.sched_dense").Regressed {
+		t.Error("dense-window micro alloc regression not flagged")
+	}
+	if d.Regressions != 4 {
+		t.Errorf("regressions = %d, want 4:\n%s", d.Regressions, d.Format())
 	}
 	// Faster is never a regression.
 	fast := benchFixture()

@@ -29,7 +29,8 @@ type engineGaugeSet struct {
 // schedGaugeSet holds one scheduler's internals row.
 type schedGaugeSet struct {
 	sim                  *sim.Sim
-	near, wheel, far     *obs.Gauge
+	near, nearSub        *obs.Gauge
+	wheel, far           *obs.Gauge
 	dispList, dispHeap   *obs.Gauge
 	cascades, pours      *obs.Gauge
 	poured, occ, pending *obs.Gauge
@@ -71,6 +72,7 @@ func newEngineMetrics(reg *obs.Registry, scope string, s *sim.Sim, group *sim.Sh
 		em.sched = append(em.sched, schedGaugeSet{
 			sim:      ss,
 			near:     reg.Gauge("drill_sched_near_total", l, "Schedule calls routed to the near tier."),
+			nearSub:  reg.Gauge("drill_sched_near_sub_total", l, "Near-tier schedule calls appended to an open-window sub-bucket rather than the near heap."),
 			wheel:    reg.Gauge("drill_sched_wheel_total", l, "Schedule calls routed into a wheel bucket."),
 			far:      reg.Gauge("drill_sched_far_total", l, "Schedule calls routed to the far overflow heap."),
 			dispList: reg.Gauge("drill_sched_dispatch_list_total", l, "Dispatches consumed from the sorted dispatch list."),
@@ -126,6 +128,7 @@ func (em *engineMetrics) Refresh(units.Time) {
 	for _, sg := range em.sched {
 		sc := sg.sim.Sched()
 		sg.near.Set(float64(sc.Near))
+		sg.nearSub.Set(float64(sc.NearSub))
 		sg.wheel.Set(float64(sc.Wheel))
 		sg.far.Set(float64(sc.Far))
 		sg.dispList.Set(float64(sc.DispatchList))
@@ -169,7 +172,7 @@ func buildEngineReport(engine string, s *sim.Sim, group *sim.ShardGroup, net *fa
 	schedRow := func(name string, ss *sim.Sim) obs.EngineSched {
 		sc := ss.Sched()
 		return obs.EngineSched{
-			Sched: name, Near: sc.Near, Wheel: sc.Wheel, Far: sc.Far,
+			Sched: name, Near: sc.Near, NearSub: sc.NearSub, Wheel: sc.Wheel, Far: sc.Far,
 			DispatchList: sc.DispatchList, DispatchHeap: sc.DispatchHeap,
 			Cascades: sc.Cascades, Pours: sc.Pours, PouredEvents: sc.PouredEvents,
 			WheelOccupancy: ss.WheelOccupancy(), Pending: ss.Pending(),

@@ -55,8 +55,8 @@ func TestEngineObsOptIn(t *testing.T) {
 	if want := 5*nsh + nsh*nsh; engineSeries(snap, "drill_shard_") != want {
 		t.Errorf("drill_shard_* series = %d, want %d", engineSeries(snap, "drill_shard_"), want)
 	}
-	// 10 scheduler internals for the global scheduler and each shard.
-	if want := 10 * (nsh + 1); engineSeries(snap, "drill_sched_") != want {
+	// 11 scheduler internals for the global scheduler and each shard.
+	if want := 11 * (nsh + 1); engineSeries(snap, "drill_sched_") != want {
 		t.Errorf("drill_sched_* series = %d, want %d", engineSeries(snap, "drill_sched_"), want)
 	}
 	if got := engineSeries(snap, "drill_window_"); got != 6 {
@@ -78,8 +78,8 @@ func TestEngineObsOptIn(t *testing.T) {
 	if n := engineSeries(snap, "drill_shard_") + engineSeries(snap, "drill_window_"); n != 0 {
 		t.Errorf("sequential run registered %d shard/window series, want 0", n)
 	}
-	if got := engineSeries(snap, "drill_sched_"); got != 10 {
-		t.Errorf("sequential drill_sched_* series = %d, want 10", got)
+	if got := engineSeries(snap, "drill_sched_"); got != 11 {
+		t.Errorf("sequential drill_sched_* series = %d, want 11", got)
 	}
 	if v := findPoint(snap, "drill_sched_dispatch_list_total", engineScope(seq.ObsScope, `sched="seq"`)); v <= 0 {
 		t.Errorf("seq dispatch-list counter = %v, want > 0", v)

@@ -35,6 +35,7 @@ type EngineShard struct {
 type EngineSched struct {
 	Sched          string `json:"sched"` // "seq", "global", "shard0", ...
 	Near           uint64 `json:"near_total"`
+	NearSub        uint64 `json:"near_sub_total"` // of Near, appended to an open-window sub-bucket
 	Wheel          uint64 `json:"wheel_total"`
 	Far            uint64 `json:"far_total"`
 	DispatchList   uint64 `json:"dispatch_list_total"`
@@ -157,8 +158,8 @@ func (r *EngineReport) Format() string {
 		b.WriteByte('\n')
 	}
 	for _, sc := range r.Sched {
-		fmt.Fprintf(&b, "  sched %s: near=%d wheel=%d far=%d list=%d heap=%d cascades=%d pours=%d poured=%d occupancy=%d pending=%d\n",
-			sc.Sched, sc.Near, sc.Wheel, sc.Far, sc.DispatchList, sc.DispatchHeap,
+		fmt.Fprintf(&b, "  sched %s: near=%d (sub=%d) wheel=%d far=%d list=%d heap=%d cascades=%d pours=%d poured=%d occupancy=%d pending=%d\n",
+			sc.Sched, sc.Near, sc.NearSub, sc.Wheel, sc.Far, sc.DispatchList, sc.DispatchHeap,
 			sc.Cascades, sc.Pours, sc.PouredEvents, sc.WheelOccupancy, sc.Pending)
 	}
 	return b.String()

@@ -7,29 +7,35 @@ import (
 )
 
 // TestSchedStatsTierRouting pins the scheduler-internals counters against
-// a hand-built schedule with one event per tier: routing totals must
-// match what was scheduled, every event must be dispatched from exactly
-// one of the two dispatch sources, and the far event must cascade inward
-// as the wheel horizon advances past it.
+// a hand-built schedule with one event per tier, plus a Timer in the open
+// window: routing totals must match what was scheduled, the open-window
+// split must send the untracked event to a sub-bucket and the Timer entry
+// to the near heap, every event must be dispatched from exactly one of
+// the two dispatch sources, and the far event must cascade inward as the
+// wheel horizon advances past it.
 func TestSchedStatsTierRouting(t *testing.T) {
 	s := New(1)
 	nop := func() {}
-	s.At(10, nop)              // inside the cursor bucket window → near
+	s.At(10, nop)              // inside the cursor bucket window → near, sub-bucket
+	s.NewTimer(nop).Reset(20)  // a Timer in the window → near, heap
 	s.At(5<<wheelShift+3, nop) // within the wheel horizon → bucket
 	s.At(horizonW+50, nop)     // beyond the horizon → far
 
 	sc := s.Sched()
-	if sc.Near != 1 || sc.Wheel != 1 || sc.Far != 1 {
-		t.Fatalf("tier routing = near %d wheel %d far %d, want 1/1/1", sc.Near, sc.Wheel, sc.Far)
+	if sc.Near != 2 || sc.Wheel != 1 || sc.Far != 1 {
+		t.Fatalf("tier routing = near %d wheel %d far %d, want 2/1/1", sc.Near, sc.Wheel, sc.Far)
 	}
-	if s.WheelOccupancy() != 1 {
-		t.Fatalf("wheel occupancy = %d, want 1", s.WheelOccupancy())
+	if sc.NearSub != 1 {
+		t.Fatalf("open-window sub-bucket schedules = %d, want 1 (the Timer entry takes the heap)", sc.NearSub)
+	}
+	if s.WheelOccupancy() != 1 || s.Pending() != 4 {
+		t.Fatalf("wheel occupancy = %d pending = %d, want 1/4", s.WheelOccupancy(), s.Pending())
 	}
 
 	s.Run()
 	sc = s.Sched()
-	if got := sc.DispatchList + sc.DispatchHeap; got != 3 {
-		t.Errorf("dispatches list %d + heap %d = %d, want 3", sc.DispatchList, sc.DispatchHeap, got)
+	if sc.DispatchList != 3 || sc.DispatchHeap != 1 {
+		t.Errorf("dispatches list %d heap %d, want 3/1 (only the Timer entry pops the heap)", sc.DispatchList, sc.DispatchHeap)
 	}
 	if sc.Cascades != 1 {
 		t.Errorf("cascades = %d, want 1 (the far event re-routed once)", sc.Cascades)

@@ -12,34 +12,47 @@
 // Events live in one of three tiers, picked by how far ahead of the wheel
 // cursor they land:
 //
-//   - near: the current wheel bucket's window, split between a sorted
-//     dispatch list (the bucket's untracked events, ordered once at pour
-//     time and consumed by a cursor) and a small index-tracked min-heap
-//     (Timer-owned entries, plus anything scheduled into the window after
-//     it opened). Dispatch interleaves the two by direct (time, seq)
-//     comparison, so the exact total order is enforced here.
+//   - near: the open wheel bucket's 1.024µs window, itself a second wheel
+//     level. The window is split into 256 sub-buckets of 4ns each, with a
+//     four-word occupancy bitmap and a sub-bucket cursor. An untracked
+//     event landing ahead of the cursor is appended to its sub-bucket;
+//     when the dispatch list runs out, the lowest occupied sub-bucket is
+//     sorted into it (a handful of events, so an insertion sort) and
+//     consumed by a cursor. A small index-tracked min-heap holds the rest
+//     of the window: Timer-owned entries, and events landing at or behind
+//     the sub-bucket cursor (zero-delay events, mostly). Dispatch
+//     interleaves the list and the heap by direct (time, seq) comparison.
+//     This is the tier a packet simulation lives in: each hop's 60ns
+//     visibility update and 200ns wire arrival land in the open window.
 //   - wheel: a calendar queue of fixed-width buckets covering the short
 //     horizon that dominates a packet simulation (tx-done, link-depart,
 //     visibility updates, RTO resets). Insertion and timer cancellation
-//     are O(1) appends/swap-removes; a bucket's events are poured into
-//     the near tier when the cursor reaches it.
+//     are O(1) appends/swap-removes; when the cursor reaches a bucket, its
+//     Timer-owned entries move to the near heap and the rest are dealt
+//     into the sub-buckets.
 //   - far: the index-tracked heap retained from the pre-wheel scheduler,
 //     as the overflow tier for events beyond the wheel horizon. Events
 //     cascade from far into the wheel as the cursor advances.
 //
 // Determinism argument: dispatch order is (at, seq) everywhere. The near
-// tier compares that key directly, whether an event sits in the sorted
-// list or the heap. A wheel bucket only ever holds events of one bucket
-// window per revolution (anything nearer goes to the near tier, anything
-// farther goes to a later bucket or the far tier), and the whole bucket
-// is poured and ordered before any of it dispatches, so intra-bucket
-// insertion order never matters. The far tier is a heap on the same key
-// and only feeds the wheel. Hence the wheel scheduler dispatches in
+// tier compares that key directly between the dispatch list and the heap.
+// A sub-bucket only ever holds events of its own 4ns slice of the window,
+// and it is sorted whole before any of it dispatches, so insertion order
+// never matters; a sub-bucket that has been poured takes no further
+// events (they go to the heap). A sub-bucket is poured only when the heap
+// minimum is at or after the sub-bucket's start, so no heap entry earlier
+// than an unpoured sub-bucket event can be overtaken: until the list is
+// refilled, the heap minimum is the global minimum. The same holds one
+// level up: a wheel bucket only holds events of one bucket window per
+// revolution (anything nearer goes to the near tier, anything farther to
+// a later bucket or the far tier), and the far tier is a heap on the same
+// key that only feeds the wheel. Hence the wheel scheduler dispatches in
 // exactly the order the plain heap would — NewHeapOnly exists to assert
 // that equivalence in tests, byte for byte.
 package sim
 
 import (
+	"math/bits"
 	"math/rand"
 	"slices"
 
@@ -58,6 +71,20 @@ const (
 	wheelMask  = wheelSize - 1                       // bucket index mask
 	bucketW    = units.Nanosecond << wheelShift      // bucket width
 	horizonW   = units.Time(wheelSize) << wheelShift // wheel span
+)
+
+// Open-window geometry. The cursor bucket's window is split into 4ns
+// sub-buckets: narrow enough that one rarely holds more than a few events
+// (so sorting it at pour time is a short insertion sort), wide enough
+// that 256 of them span a whole bucket and a four-word bitmap indexes
+// them.
+const (
+	subShift   = 2                            // log2 sub-bucket width in ns
+	subBits    = wheelShift - subShift        // log2 sub-buckets per window
+	subCount   = 1 << subBits                 // sub-buckets per window
+	subW       = units.Nanosecond << subShift // sub-bucket width
+	subWords   = subCount / 64                // occupancy bitmap words
+	sortInline = 32                           // longest sub-bucket insertion-sorted
 )
 
 // Event-key flag bits. The FIFO tie-break sequence number is packed above
@@ -144,20 +171,30 @@ type Sim struct {
 	halted  bool
 	daemons int // scheduled daemon events (they never keep Run alive)
 
-	near eventHeap // straggler events inside the cursor bucket's window
+	near eventHeap // open-window Timer entries and events at or behind the sub-bucket cursor
 	far  eventHeap // events beyond the wheel horizon
 
-	// dl is the dispatch list: the cursor bucket's untracked events,
-	// sorted once at pour time and consumed by advancing dlHead. Most
-	// events take this path — one append at schedule, one sort pass
-	// amortized over the bucket, one cursor increment at dispatch —
-	// instead of O(log n) heap sifts in and out. Only events that need
-	// location tracking (Timer-owned) or that are scheduled into the
-	// already-open window (they'd have to merge into a sorted prefix) go
-	// through the near heap, and the dispatch loop interleaves the two by
-	// (at, seq) comparison.
+	// dl is the dispatch list: the last poured sub-bucket's events,
+	// sorted at pour time and consumed by advancing dlHead. Most events
+	// take this path — one append at schedule, one short sort amortized
+	// over the sub-bucket, one cursor increment at dispatch — instead of
+	// O(log n) heap sifts in and out. Only events that need location
+	// tracking (Timer-owned) or that land at or behind the sub-bucket
+	// cursor (they'd have to merge into a sorted prefix) go through the
+	// near heap, and the dispatch loop interleaves the two by (at, seq)
+	// comparison.
 	dl     []event
 	dlHead int
+
+	// The open window's sub-buckets: sub[j] holds untracked events in
+	// [base+j*subW, base+(j+1)*subW), subOcc marks the non-empty ones,
+	// subCur is the last poured index (-1 while none has been), and
+	// scount the events they hold. Each sub-bucket array is emptied, not
+	// dropped, when poured, so it keeps its capacity window to window.
+	sub    [subCount][]event
+	subOcc [subWords]uint64
+	subCur int32
+	scount int
 
 	buckets [][]event  // wheel: wheelSize fixed-width calendar buckets
 	base    units.Time // start of the cursor bucket's window (bucketW-aligned)
@@ -185,6 +222,7 @@ type Sim struct {
 // schedule and under Wheel (and Cascades) when the horizon reaches it.
 type SchedStats struct {
 	Near         uint64 // schedule calls routed to the near tier
+	NearSub      uint64 // of Near, calls appended to an open-window sub-bucket (the rest went to the near heap)
 	Wheel        uint64 // schedule calls routed into a wheel bucket
 	Far          uint64 // schedule calls routed to the far overflow heap
 	DispatchList uint64 // dispatches consumed from the sorted dispatch list
@@ -210,6 +248,7 @@ func New(seed int64) *Sim {
 		near:    eventHeap{tier: tierNear},
 		far:     eventHeap{tier: tierFar},
 		buckets: make([][]event, wheelSize),
+		subCur:  -1,
 		free:    -1,
 	}
 	s.near.s = s
@@ -428,14 +467,30 @@ func (s *Sim) AfterObserver(d units.Time, fn func()) {
 // schedule routes an event to its tier by distance from the wheel cursor.
 //
 //drill:hotpath
-//drill:allocs 1 bucket growth amortizes; wheel slices retain capacity across laps
+//drill:allocs 2 bucket and sub-bucket growth amortizes; both retain capacity across laps
 func (s *Sim) schedule(ev event) {
-	if s.heapOnly || ev.at < s.base+bucketW {
-		// Inside the current bucket window (or reference mode): the near
-		// heap enforces (at, seq) order directly. Events behind the cursor
-		// window — possible after RunUntil advanced the clock into a quiet
-		// region — land here too, keeping order exact without rewinding.
+	if s.heapOnly {
 		s.sched.Near++
+		s.near.push(ev)
+		return
+	}
+	if ev.at < s.base+bucketW {
+		// Inside the open window. An untracked event ahead of the
+		// sub-bucket cursor joins its sub-bucket; everything else — Timer
+		// entries, events in the sub-bucket being dispatched or one
+		// already passed, and events behind the window (possible after
+		// RunUntil advanced the clock into a quiet region) — goes to the
+		// near heap, which enforces (at, seq) order directly.
+		s.sched.Near++
+		if off := ev.at - s.base; off >= 0 && ev.key&keyTracked == 0 {
+			if j := int32(off >> subShift); j > s.subCur {
+				s.sched.NearSub++
+				s.sub[j] = append(s.sub[j], ev)
+				s.subOcc[j>>6] |= 1 << (j & 63)
+				s.scount++
+				return
+			}
+		}
 		s.near.push(ev)
 		return
 	}
@@ -469,11 +524,11 @@ func (s *Sim) Halted() bool { return s.halted }
 // Cancelled timer events are removed from their tier eagerly, so they
 // never count here.
 func (s *Sim) Pending() int {
-	return len(s.near.ev) + (len(s.dl) - s.dlHead) + s.wcount + len(s.far.ev)
+	return len(s.near.ev) + (len(s.dl) - s.dlHead) + s.scount + s.wcount + len(s.far.ev)
 }
 
-// eventCmp is less as a three-way comparison, for sorting poured buckets.
-// Two events never compare equal: seqs are unique.
+// eventCmp is less as a three-way comparison, for sorting long
+// sub-buckets. Two events never compare equal: seqs are unique.
 func eventCmp(a, b event) int {
 	if a.at != b.at {
 		if a.at < b.at {
@@ -490,17 +545,42 @@ func eventCmp(a, b event) int {
 	return 0
 }
 
-// ensureNear advances the wheel cursor — cascading overflow events in and
-// pouring reached buckets into the dispatch list / near heap — until one
-// of them holds the globally earliest pending event. It reports false when
-// no events are pending anywhere. Advancing never skips an event: a bucket
-// is emptied before the cursor moves past it, and the far tier is drained
-// of everything the widened horizon covers at each step.
+// ensureNear makes the near tier hold the globally earliest pending event,
+// either at the head of the dispatch list or at the top of the near heap.
+// It refills an exhausted list from the lowest occupied sub-bucket and,
+// when the whole open window is empty, advances the wheel cursor —
+// cascading overflow events in and dealing the reached bucket into the
+// sub-buckets. It reports false when no events are pending anywhere.
+// Advancing never skips an event: a bucket is emptied before the cursor
+// moves past it, and the far tier is drained of everything the widened
+// horizon covers at each step.
 //
 //drill:hotpath
-//drill:allocs 1 in-place bucket compaction appends within retained capacity
 func (s *Sim) ensureNear() bool {
-	for len(s.near.ev) == 0 && s.dlHead == len(s.dl) {
+	return s.dlHead < len(s.dl) || s.refill()
+}
+
+// refill is ensureNear's slow path, taken when the dispatch list is
+// exhausted.
+//
+//drill:hotpath
+//drill:allocs 1 sub-bucket appends retain capacity across windows
+func (s *Sim) refill() bool {
+	for s.dlHead == len(s.dl) {
+		if s.scount > 0 {
+			// Pour the lowest occupied sub-bucket only if no heap entry
+			// precedes its start: a heap entry earlier than the
+			// sub-bucket is the global minimum and must dispatch first,
+			// which step does when the list is empty.
+			j := s.firstSub()
+			if len(s.near.ev) == 0 || s.near.ev[0].at >= s.base+units.Time(j)<<subShift {
+				s.pourSub(j)
+			}
+			return true
+		}
+		if len(s.near.ev) > 0 {
+			return true
+		}
 		if s.wcount == 0 {
 			if len(s.far.ev) == 0 {
 				return false
@@ -514,6 +594,7 @@ func (s *Sim) ensureNear() bool {
 			s.base += bucketW
 			s.cur = (s.cur + 1) & wheelMask
 		}
+		s.subCur = -1
 		// Cascade far-tier events the advanced horizon now covers.
 		for len(s.far.ev) > 0 && s.far.ev[0].at < s.base+horizonW {
 			s.sched.Cascades++
@@ -521,28 +602,77 @@ func (s *Sim) ensureNear() bool {
 		}
 		// Pour the cursor bucket: Timer-owned entries go through the near
 		// heap (they keep index tracking so Reset/Stop can still find
-		// them); everything else becomes the new dispatch list, sorted
-		// once. The exhausted previous list's backing array is handed back
-		// to the bucket, so the two arrays rotate without allocating.
+		// them); everything else is dealt into its sub-bucket. The bucket
+		// keeps its array for its next revolution.
 		bk := s.buckets[s.cur]
 		if len(bk) > 0 {
 			s.sched.Pours++
 			s.sched.PouredEvents += uint64(len(bk))
 			s.wcount -= len(bk)
-			keep := bk[:0]
 			for i := range bk {
-				if bk[i].key&keyTracked != 0 {
-					s.near.push(bk[i])
-				} else {
-					keep = append(keep, bk[i])
+				ev := bk[i]
+				if ev.key&keyTracked != 0 {
+					s.near.push(ev)
+					continue
 				}
+				j := int32(ev.at-s.base) >> subShift
+				s.sub[j] = append(s.sub[j], ev)
+				s.subOcc[j>>6] |= 1 << (j & 63)
+				s.scount++
 			}
-			slices.SortFunc(keep, eventCmp)
-			s.buckets[s.cur] = s.dl[:0]
-			s.dl, s.dlHead = keep, 0
+			s.buckets[s.cur] = bk[:0]
 		}
 	}
 	return true
+}
+
+// firstSub returns the lowest occupied sub-bucket; scount must be > 0.
+//
+//drill:hotpath
+func (s *Sim) firstSub() int32 {
+	for w := (s.subCur + 1) >> 6; ; w++ {
+		if m := s.subOcc[w]; m != 0 {
+			return w<<6 + int32(bits.TrailingZeros64(m))
+		}
+	}
+}
+
+// pourSub sorts sub-bucket j into the (exhausted) dispatch list and moves
+// the sub-bucket cursor to it. The events are copied into the list's one
+// array, which stays hot in cache, and sorted there: a sub-bucket rarely
+// holds more than a few events, so an insertion sort that skips in-order
+// ones, with slices.SortFunc only past sortInline. Every sub-bucket keeps
+// its own array, emptied, for the next window, so after warm-up neither
+// side allocates. (Swapping the two arrays instead of copying measured
+// slower on BenchmarkDenseWindow, and churns capacities between
+// sub-buckets.)
+//
+//drill:hotpath
+//drill:allocs 1 the dispatch list grows to the largest sub-bucket once, then retains capacity
+func (s *Sim) pourSub(j int32) {
+	b := s.sub[j]
+	dl := append(s.dl[:0], b...)
+	if len(dl) > sortInline {
+		slices.SortFunc(dl, eventCmp)
+	} else {
+		for i := 1; i < len(dl); i++ {
+			if !less(&dl[i], &dl[i-1]) {
+				continue
+			}
+			ev := dl[i]
+			k := i - 1
+			for k > 0 && less(&ev, &dl[k-1]) {
+				k--
+			}
+			copy(dl[k+1:i+1], dl[k:i])
+			dl[k] = ev
+		}
+	}
+	s.sub[j] = b[:0]
+	s.dl, s.dlHead = dl, 0
+	s.subOcc[j>>6] &^= 1 << (j & 63)
+	s.scount -= len(b)
+	s.subCur = j
 }
 
 // Run dispatches events in time order until only daemon events remain or
@@ -659,8 +789,8 @@ func (s *Sim) step() {
 }
 
 // wheelRemove deletes slot i of bucket b (a cancelled timer entry) in O(1)
-// by swap-removal; bucket-internal order is irrelevant because a bucket is
-// re-ordered through the near heap before dispatch.
+// by swap-removal; bucket-internal order is irrelevant because a bucket's
+// events are re-ordered (near heap or sorted sub-buckets) before dispatch.
 //
 //drill:hotpath
 func (s *Sim) wheelRemove(b, i int32) {

@@ -11,9 +11,10 @@ import (
 // The timing wheel must be a pure representation change: New and
 // NewHeapOnly dispatch the same events in the same order with the same
 // Pending counts, byte for byte. The tests here drive both schedulers
-// through the same scripted operation sequences — spanning the near
-// window, the wheel horizon, the far overflow tier, timer churn, and
-// mid-run clock advances — and diff the full dispatch transcripts.
+// through the same scripted operation sequences — spanning the open
+// window's sub-buckets, the wheel horizon, the far overflow tier, timer
+// churn, and mid-run clock advances — and diff the full dispatch
+// transcripts.
 
 // wheelOp is one scripted scheduler operation. Scripts are generated
 // (property test) or decoded from fuzz input, then applied identically to
@@ -47,8 +48,13 @@ func applyScript(s *Sim, ops []wheelOp) []string {
 			s.After(op.delay, func() { rec(label) })
 		case 1:
 			// Scheduling from inside a callback lands in the already-open
-			// window — the near-heap straggler path.
+			// window: a sub-bucket ahead of the cursor, or the near heap at
+			// or behind it. A sub-bucket-scale parent gets a child a few
+			// sub-buckets out, so parents and children interleave densely.
 			child := (op.delay*7919 + 13) % (3 * bucketW)
+			if op.delay < 8*subW {
+				child %= 8 * subW
+			}
 			s.After(op.delay, func() {
 				rec(label)
 				s.After(child, func() { rec(label + 1_000_000) })
@@ -85,26 +91,28 @@ func diffScript(ops []wheelOp) string {
 }
 
 // randScript generates an op sequence whose delays cover every tier
-// boundary: same-instant ties (0), the open bucket window, the wheel
-// horizon, and far-tier overflow, with coarse quantization so distinct
-// ops frequently collide on the same timestamp and exercise the FIFO
-// tie-break.
+// boundary: same-instant ties (0), a few sub-buckets of the open window,
+// the whole open window, the wheel horizon, and far-tier overflow. Delays
+// are often quantized (to the sub-bucket width at sub-bucket scale,
+// coarser beyond it) so distinct ops frequently collide on the same
+// timestamp and exercise the FIFO tie-break.
 func randScript(rng *rand.Rand, n int) []wheelOp {
-	ranges := []units.Time{
-		0,                // same-instant ties
-		bucketW,          // inside the open window
-		16 * bucketW,     // short wheel hop
-		horizonW,         // anywhere on the wheel
-		3 * horizonW / 2, // beyond the horizon: far tier
+	ranges := []struct{ span, quantum units.Time }{
+		{0, 0},                  // same-instant ties
+		{8 * subW, subW},        // sub-bucket ties and heap interleaving
+		{bucketW, 256},          // inside the open window
+		{16 * bucketW, 256},     // short wheel hop
+		{horizonW, 256},         // anywhere on the wheel
+		{3 * horizonW / 2, 256}, // beyond the horizon: far tier
 	}
 	ops := make([]wheelOp, n)
 	for i := range ops {
 		r := ranges[rng.Intn(len(ranges))]
 		var d units.Time
-		if r > 0 {
-			d = units.Time(rng.Int63n(int64(r)))
+		if r.span > 0 {
+			d = units.Time(rng.Int63n(int64(r.span)))
 			if rng.Intn(2) == 0 {
-				d &^= 255 // quantize to force timestamp collisions
+				d -= d % r.quantum // quantize to force timestamp collisions
 			}
 		}
 		ops[i] = wheelOp{kind: uint8(rng.Intn(6)), delay: d, tm: rng.Intn(wheelScriptTimers)}
@@ -132,11 +140,12 @@ func TestWheelMatchesHeapReference(t *testing.T) {
 
 // FuzzWheelVsHeap decodes arbitrary bytes into an op script and asserts
 // wheel/heap transcript equality. Three bytes per op: kind, and a 16-bit
-// delay seed stretched across the tier ranges by its low bits.
+// delay seed stretched across the tier ranges by the kind byte.
 func FuzzWheelVsHeap(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 5, 2, 0, 3, 255, 255})
 	f.Add([]byte{1, 0, 4, 3, 12, 0, 5, 0, 64, 4, 0, 0})
 	f.Add([]byte{2, 7, 7, 5, 255, 0, 0, 0, 0, 3, 3, 3})
+	f.Add([]byte{4, 0, 9, 9, 0, 21, 19, 0, 5, 24, 0, 13, 4, 1, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 3*512 {
 			data = data[:3*512]
@@ -145,7 +154,7 @@ func FuzzWheelVsHeap(f *testing.F) {
 		for i := 0; i+2 < len(data); i += 3 {
 			raw := units.Time(data[i+1])<<8 | units.Time(data[i+2])
 			var d units.Time
-			switch data[i] % 4 {
+			switch data[i] % 5 {
 			case 0:
 				d = raw % bucketW
 			case 1:
@@ -154,6 +163,8 @@ func FuzzWheelVsHeap(f *testing.F) {
 				d = raw * units.Time(1) << 10 // up to ~4 horizons out
 			case 3:
 				d = (raw &^ 255) % (4 * bucketW) // tie-heavy
+			case 4:
+				d = (raw % (8 * subW)) &^ (subW - 1) // sub-bucket ties
 			}
 			ops = append(ops, wheelOp{kind: data[i] % 6, delay: d, tm: int(data[i+1]) % wheelScriptTimers})
 		}
@@ -163,10 +174,82 @@ func FuzzWheelVsHeap(f *testing.F) {
 	})
 }
 
+// TestSubBucketYieldsToEarlierWork pins the open window's ordering
+// rule. A Timer armed in the window sits in the near heap; an event
+// scheduled from a callback into a later sub-bucket must still dispatch
+// before the timer when it is earlier — a heap entry may only go first
+// when it precedes the lowest occupied sub-bucket, and a sub-bucket event
+// may only go first when it precedes the heap minimum.
+func TestSubBucketYieldsToEarlierWork(t *testing.T) {
+	for _, heapOnly := range []bool{false, true} {
+		s := New(1)
+		if heapOnly {
+			s = NewHeapOnly(1)
+		}
+		var got []units.Time
+		rec := func() { got = append(got, s.Now()) }
+		tm := s.NewTimer(rec)
+		tm.Reset(900)
+		s.At(100, func() {
+			rec()
+			s.At(150, rec)
+			s.At(100, rec) // behind the sub-bucket cursor: the near heap
+		})
+		s.Run()
+		want := []units.Time{100, 100, 150, 900}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("heapOnly=%v: dispatch times %v, want %v", heapOnly, got, want)
+		}
+	}
+	s := New(1)
+	s.At(100, func() { s.At(150, func() {}) })
+	s.Run()
+	if sc := s.Sched(); sc.NearSub != 2 || sc.Near != 2 {
+		t.Errorf("open-window routing near %d sub %d, want both 2", sc.Near, sc.NearSub)
+	}
+}
+
+// denseSources arms n self-re-arming callbacks on s, each cycling
+// through the per-hop offsets of a packet simulation: a 60ns visibility
+// update and a 200ns wire arrival (both inside the open window) and a
+// 1.23µs serialization (the next wheel bucket). It returns a pointer to
+// the dispatch count; sources stop re-arming once it reaches limit.
+func denseSources(s *Sim, n, limit int) *int {
+	offsets := [...]units.Time{60, 200, 1230}
+	fired := new(int)
+	for i := 0; i < n; i++ {
+		k := i
+		var id FnID
+		id = s.Register(func() {
+			if *fired++; *fired < limit {
+				k++
+				s.AfterID(offsets[k%len(offsets)], id)
+			}
+		})
+		s.AtID(units.Time(i), id)
+	}
+	return fired
+}
+
+// BenchmarkDenseWindow measures dispatch through a crowded open window:
+// 1024 sources whose re-arms land mostly in the sub-buckets, the load
+// shape of a fabric hop. One op is one dispatched event.
+func BenchmarkDenseWindow(b *testing.B) {
+	s := New(1)
+	denseSources(s, 1024, b.N+1024)
+	b.ReportAllocs()
+	b.ResetTimer()
+	s.Run()
+	b.StopTimer()
+	if sc := s.Sched(); sc.DispatchList < sc.DispatchHeap {
+		b.Fatalf("dispatch list %d < heap %d: the window is not using its sub-buckets", sc.DispatchList, sc.DispatchHeap)
+	}
+}
+
 // TestWheelScheduleZeroAllocs pins the scheduler's steady-state
 // allocation count at zero: events are pointer-free PODs, callbacks park
-// in recycled slots, and the wheel's bucket arrays rotate — so once the
-// arrays are warm, schedule/dispatch/cancel cycles on every tier must not
+// in recycled slots, and the bucket, sub-bucket and dispatch-list arrays
+// retain their capacity — so once the arrays are warm, schedule/dispatch/cancel cycles on every tier must not
 // allocate at all.
 func TestWheelScheduleZeroAllocs(t *testing.T) {
 	s := New(1)
@@ -203,5 +286,22 @@ func TestWheelScheduleZeroAllocs(t *testing.T) {
 		s.RunUntil(s.Now() + 2*bucketW)
 	}); a != 0 {
 		t.Fatalf("AtKeyID arm/dispatch allocates %v allocs/op, want 0", a)
+	}
+
+	// Steady-state open-window scheduling: once the sub-bucket arrays
+	// have filled through many windows at this density (and every wheel
+	// bucket has seen a revolution), appending to a sub-bucket and pouring
+	// it into the dispatch list must not allocate.
+	d := New(1)
+	denseSources(d, 256, 1<<62)
+	d.RunUntil(2 * horizonW)
+	before := d.Sched().NearSub
+	if a := testing.AllocsPerRun(2000, func() {
+		d.RunUntil(d.Now() + bucketW)
+	}); a != 0 {
+		t.Fatalf("dense open-window scheduling allocates %v allocs/op, want 0", a)
+	}
+	if d.Sched().NearSub == before {
+		t.Fatal("dense sources never reached a sub-bucket")
 	}
 }

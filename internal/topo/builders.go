@@ -34,7 +34,12 @@ func (c *LeafSpineConfig) defaults() {
 
 // LeafSpine builds a symmetric two-stage Clos: every leaf connects to every
 // spine with one CoreRate link, and HostsPerLeaf hosts hang off each leaf.
+// It panics unless Spines, Leaves and HostsPerLeaf are all at least 1.
 func LeafSpine(cfg LeafSpineConfig) *Topology {
+	if cfg.Spines < 1 || cfg.Leaves < 1 || cfg.HostsPerLeaf < 1 {
+		panic(fmt.Sprintf("topo: leaf-spine needs spines, leaves and hosts per leaf >= 1, got %d, %d, %d",
+			cfg.Spines, cfg.Leaves, cfg.HostsPerLeaf))
+	}
 	cfg.defaults()
 	t := New()
 	spines := make([]NodeID, cfg.Spines)
