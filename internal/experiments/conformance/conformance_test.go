@@ -44,7 +44,7 @@ func TestShardedMatchesSequential(t *testing.T) {
 // accepts the same event stream: per-kind counts identical across engines,
 // and the result bytes untouched by tracing.
 func TestShardedTracedCellMatches(t *testing.T) {
-	cfg := Cells()[1] // ECMP seed 2: moderate load, no failures
+	cfg := Cells()[tracedCell]
 	for _, d := range Diff(cfg, counts(), Options{Trace: true}) {
 		t.Error(d)
 	}
@@ -54,7 +54,7 @@ func TestShardedTracedCellMatches(t *testing.T) {
 // from inside shard context plus the global snapshotter — changes nothing
 // and snapshots identically under every engine.
 func TestShardedObsCellMatches(t *testing.T) {
-	cfg := Cells()[3] // DRILL seed 102
+	cfg := Cells()[obsCell]
 	for _, d := range Diff(cfg, counts(), Options{Obs: true}) {
 		t.Error(d)
 	}
