@@ -108,6 +108,29 @@ func TestClaimQueueBalanceOrdering(t *testing.T) {
 	}
 }
 
+func TestClaimVisibilityDelayCostsBalance(t *testing.T) {
+	skipSlow(t, "slow directional claim")
+	// §3.2.1: a packet's bytes become visible to the engines only after it
+	// is fully enqueued, and the staler the counters DRILL reads, the worse
+	// it balances. Uplink STDV at the default one-MTU visibility delay must
+	// clearly exceed that at 1/20 of it (mean over two seeds).
+	stdv := func(vf float64) float64 {
+		var sum float64
+		for seed := int64(1); seed <= 2; seed++ {
+			sum += claimRun(t, "DRILL w/o shim", 0.8, 1, func(c *RunCfg) {
+				c.Seed = seed
+				c.SampleQueues = true
+				c.VisFactor = vf
+			}).UplinkSTDV
+		}
+		return sum / 2
+	}
+	stale, fresh := stdv(1), stdv(0.05)
+	if !(stale > 1.5*fresh) {
+		t.Errorf("DRILL STDV %.2f at visibility factor 1 not ≫ %.2f at 0.05", stale, fresh)
+	}
+}
+
 func TestClaimShimRemovesSpuriousRetransmits(t *testing.T) {
 	skipSlow(t, "slow directional claim")
 	// §3.3: with the shim, reordering no longer reaches TCP, so

@@ -1,28 +1,18 @@
 // Package conformance proves engine variants of the simulator equivalent:
-// it reduces a run's every externally observable result — delivery, drop,
-// and reordering totals, the full FCT distributions, per-hop telemetry,
-// trace counts, and obs snapshots — to a deterministic fingerprint string,
-// and diffs fingerprints across engines. The sharded parallel engine
+// it extends a run's result fingerprint (experiments.Fingerprint) with the
+// observation planes — trace counts and obs snapshots — and diffs
+// fingerprints across engines. The sharded parallel engine
 // (RunCfg.Shards) is held byte-identical to the sequential engine at every
 // shard count by the tests in this package and by the nightly
-// FuzzShardedVsSequential.
-//
-// Fingerprints deliberately contain no insertion-order float sums: a
-// sharded run folds per-shard sample sets in shard-ID order, so a multiset
-// of float samples is engine-invariant but its running sum (and therefore
-// a mean) can differ in the last ulp. Distributions are compared by count,
-// order statistics, and a hash over the sorted samples instead — exact
-// equality on strictly more information than a mean, without the
-// fold-order sensitivity.
+// FuzzShardedVsSequential, and the sequential engine is held to the
+// committed golden corpus in testdata/golden.
 package conformance
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"drill/internal/experiments"
-	"drill/internal/metrics"
 	"drill/internal/obs"
 	"drill/internal/trace"
 	"drill/internal/units"
@@ -39,57 +29,6 @@ type Options struct {
 	// the final snapshot (scrubbed of order-dependent histogram sums) to
 	// the fingerprint.
 	Obs bool
-}
-
-// Fingerprint renders the engine-invariant results of a finished run.
-func Fingerprint(res *experiments.RunResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "delivered=%d flows=%d events=%d drops=%d retx=%d rto=%d ooo=%d gro=%d/%d gets=%d\n",
-		res.Delivered, res.Flows, res.Events, res.Drops, res.Retransmits,
-		res.Timeouts, res.OutOfOrder, res.GROBatches, res.GROSegments, res.PacketGets)
-	// The conservation terms and the control-plane generation count: an
-	// epoch swap (fail → restore → table/Quiver recompute) that landed on a
-	// different barrier, drained a different queue, or left a different
-	// packet in flight diverges here even if delivery totals happen to agree.
-	fmt.Fprintf(&b, "sent=%d queued=%d inflight=%d epochs=%d\n",
-		res.Sent, res.QueuedEnd, res.InFlightEnd, res.Epochs)
-	fmt.Fprintf(&b, "fct %s\n", distLine(res.FCT))
-	classes := make([]string, 0, len(res.Classes))
-	for c := range res.Classes {
-		classes = append(classes, c)
-	}
-	sort.Strings(classes)
-	for _, c := range classes {
-		fmt.Fprintf(&b, "fct[%s] %s\n", c, distLine(res.Classes[c]))
-	}
-	fmt.Fprintf(&b, "dupacks %s\nreorders %s\n", histLine(res.DupAcks), histLine(res.WireReorders))
-	fmt.Fprintf(&b, "hops q=%v n=%v d=%v\n", res.Hops.QueueingNs, res.Hops.Packets, res.Hops.Drops)
-	fmt.Fprintf(&b, "stdv up=%g down=%g util=%g elephant=%g\n",
-		res.UplinkSTDV, res.DownlinkSTDV, res.CoreUtil, res.ElephantGbps)
-	return b.String()
-}
-
-// distLine renders a sample distribution without its insertion-order sum:
-// count, the order statistics the reports read, and a hash of the sorted
-// sample multiset (exact to the bit, fold-order independent).
-func distLine(d *metrics.Dist) string {
-	return fmt.Sprintf("n=%d min=%g p50=%g p90=%g p99=%g max=%g h=%016x",
-		d.Count(), d.Min(), d.Percentile(50), d.Percentile(90),
-		d.Percentile(99), d.Max(), d.HashSorted())
-}
-
-// histLine renders an integer histogram exactly, bucket by bucket.
-func histLine(h *metrics.IntHist) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "n=%d [", h.Count())
-	for v := 0; v <= h.Max(); v++ {
-		if v > 0 {
-			b.WriteByte(' ')
-		}
-		fmt.Fprintf(&b, "%d", h.Bucket(v))
-	}
-	b.WriteByte(']')
-	return b.String()
 }
 
 // TraceLine renders a tracer's accepted-event counts per kind.
@@ -125,6 +64,12 @@ func ObsLines(s *obs.Snapshot) string {
 // FingerprintCfg executes one engine variant of cfg with opt's
 // instrumentation freshly attached and returns its full fingerprint.
 func FingerprintCfg(cfg experiments.RunCfg, opt Options) string {
+	_, fp := run(cfg, opt)
+	return fp
+}
+
+// run is FingerprintCfg that also returns the run's result.
+func run(cfg experiments.RunCfg, opt Options) (*experiments.RunResult, string) {
 	var tr *trace.Tracer
 	if opt.Trace {
 		tr = trace.New(nil, trace.WithKinds(trace.QueueSample, trace.PortUtil))
@@ -138,14 +83,15 @@ func FingerprintCfg(cfg experiments.RunCfg, opt Options) string {
 		cfg.ObsScope = `conf="cell"`
 		cfg.ObsSample = 50 * units.Microsecond
 	}
-	fp := Fingerprint(experiments.Run(cfg))
+	res := experiments.Run(cfg)
+	fp := experiments.Fingerprint(res)
 	if tr != nil {
 		fp += TraceLine(tr)
 	}
 	if reg != nil {
 		fp += ObsLines(reg.Latest())
 	}
-	return fp
+	return res, fp
 }
 
 // Diff runs cfg on the sequential engine and on the sharded engine at each

@@ -115,7 +115,7 @@ func TestEngineTelemetryIsByteIdentical(t *testing.T) {
 		for _, n := range engineCounts {
 			v := cfg
 			v.Shards = n
-			plain := Fingerprint(experiments.Run(v))
+			plain := experiments.Fingerprint(experiments.Run(v))
 
 			instr := v
 			instr.Obs = obs.NewRegistry(8)
@@ -123,7 +123,7 @@ func TestEngineTelemetryIsByteIdentical(t *testing.T) {
 			instr.ObsSample = 50 * units.Microsecond
 			instr.EngineObs = true
 			res := experiments.Run(instr)
-			if got := Fingerprint(res); got != plain {
+			if got := experiments.Fingerprint(res); got != plain {
 				t.Errorf("cell %d (%s seed=%d) shards=%d: engine telemetry changed the results:\n--- off\n%s--- on\n%s",
 					i, cfg.Scheme.Name, cfg.Seed, n, plain, got)
 			}

@@ -95,35 +95,55 @@ func (s *hashSink) Close() error { return nil }
 // result fingerprint, the event count, and a hash over every event —
 // event-for-event identity of the sampled stream (~1.8M events, too many
 // for a ring) without committing the stream itself.
-func qtraceFingerprint(cfg experiments.RunCfg) string {
+func qtraceFingerprint(cfg experiments.RunCfg) (*experiments.RunResult, string) {
 	sink := &hashSink{h: fnv.New64a()}
 	cfg.Tracer = trace.New(sink, trace.WithKinds(trace.QueueSample, trace.PortUtil))
 	cfg.TraceSample = 5 * units.Microsecond
-	fp := Fingerprint(experiments.Run(cfg))
-	return fp + fmt.Sprintf("qtrace events=%d h=%016x\n", sink.n, sink.h.Sum64())
+	res := experiments.Run(cfg)
+	return res, experiments.Fingerprint(res) + fmt.Sprintf("qtrace events=%d h=%016x\n", sink.n, sink.h.Sum64())
 }
 
-// renderGolden runs the whole corpus, applying mut (if any) to every cell.
-func renderGolden(mut func(*experiments.RunCfg)) []byte {
+// renderGolden runs the whole corpus. Every run must also get real reuse
+// out of the packet pool: pooling is on in every cell, so a recycling
+// site that stopped returning packets shows here even though the
+// fingerprint records only the pool's draw count.
+func renderGolden(t *testing.T) []byte {
 	var b bytes.Buffer
 	b.WriteString(goldenHeader)
-	for _, c := range goldenCells() {
-		if mut != nil {
-			mut(&c.cfg)
+	section := func(name string, res *experiments.RunResult, fp string) {
+		if res.PacketGets == 0 || res.PacketAllocs >= res.PacketGets {
+			t.Errorf("%s: pooling avoided nothing (allocs=%d gets=%d)", name, res.PacketAllocs, res.PacketGets)
 		}
-		fmt.Fprintf(&b, "== %s\n%s", c.name, FingerprintCfg(c.cfg, c.opt))
+		fmt.Fprintf(&b, "== %s\n%s", name, fp)
+	}
+	for _, c := range goldenCells() {
+		res, fp := run(c.cfg, c.opt)
+		section(c.name, res, fp)
 	}
 	q := qtraceCell()
-	if mut != nil {
-		mut(&q)
-	}
-	fmt.Fprintf(&b, "== qtrace DRILL seed=%d\n%s", q.Seed, qtraceFingerprint(q))
+	res, fp := qtraceFingerprint(q)
+	section(fmt.Sprintf("qtrace DRILL seed=%d", q.Seed), res, fp)
 	return b.Bytes()
 }
 
-// compareGolden reports the first line where got departs from the record.
-func compareGolden(t *testing.T, got, want []byte) {
-	t.Helper()
+// TestGoldenFingerprints reruns the corpus and compares it with the
+// committed record. Run with -update to rewrite the record after an
+// intended behaviour change.
+func TestGoldenFingerprints(t *testing.T) {
+	got := renderGolden(t)
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(goldenFingerprints), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenFingerprints, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(goldenFingerprints)
+	if err != nil {
+		t.Fatalf("%v (record it with go test ./internal/experiments/conformance -run TestGoldenFingerprints -update)", err)
+	}
 	if bytes.Equal(got, want) {
 		return
 	}
@@ -139,30 +159,4 @@ func compareGolden(t *testing.T, got, want []byte) {
 		}
 	}
 	t.Fatalf("fingerprints differ from %s in length: got %d lines, want %d", goldenFingerprints, len(gl), len(wl))
-}
-
-func readGolden(t *testing.T) []byte {
-	t.Helper()
-	want, err := os.ReadFile(goldenFingerprints)
-	if err != nil {
-		t.Fatalf("%v (record it with go test ./internal/experiments/conformance -run TestGoldenFingerprints -update)", err)
-	}
-	return want
-}
-
-// TestGoldenFingerprints reruns the corpus and compares it with the
-// committed record. Run with -update to rewrite the record after an
-// intended behaviour change.
-func TestGoldenFingerprints(t *testing.T) {
-	got := renderGolden(nil)
-	if *update {
-		if err := os.MkdirAll(filepath.Dir(goldenFingerprints), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenFingerprints, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	compareGolden(t, got, readGolden(t))
 }

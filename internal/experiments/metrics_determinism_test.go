@@ -32,7 +32,7 @@ func sumPoints(s *obs.Snapshot, name string) float64 {
 // TestMetricsAreByteIdentical is the issue's determinism proof: enabling
 // the full metrics stack — instrument emission at every fabric/transport
 // hot-path site plus the sim-time snapshotter — may not change a single
-// result byte. The grid reuses the pooling test's composition: the tiny
+// result byte. The grid is the conformance composition: the tiny
 // scheme × seed sweep plus a drop-heavy cell and a mid-run link-failure
 // cell, so the compared path includes overflow drops, dead-link drains,
 // retransmissions, and reconvergence, not just happy-path delivery.
@@ -60,8 +60,8 @@ func TestMetricsAreByteIdentical(t *testing.T) {
 		instr.ObsSample = 50 * units.Microsecond
 		rm := Run(instr)
 
-		if got, want := fingerprint(rm), fingerprint(plain); got != want {
-			t.Errorf("cell %d (%s seed=%d): metrics-enabled run differs:\nwith:    %s\nwithout: %s",
+		if got, want := Fingerprint(rm), Fingerprint(plain); got != want {
+			t.Errorf("cell %d (%s seed=%d): metrics-enabled run differs:\n--- with\n%s--- without\n%s",
 				i, cfg.Scheme.Name, cfg.Seed, got, want)
 		}
 
@@ -103,8 +103,8 @@ func TestSweepWithMetricsIsByteIdentical(t *testing.T) {
 	instr := obsOpts.runAll(append([]RunCfg(nil), cfgs...), nil)
 
 	for i := range cfgs {
-		if got, want := fingerprint(instr[i]), fingerprint(plain[i]); got != want {
-			t.Errorf("cell %d: sweep with metrics differs:\nwith:    %s\nwithout: %s", i, got, want)
+		if got, want := Fingerprint(instr[i]), Fingerprint(plain[i]); got != want {
+			t.Errorf("cell %d: sweep with metrics differs:\n--- with\n%s--- without\n%s", i, got, want)
 		}
 	}
 	if len(man.Cells) != len(cfgs) {

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"sort"
+	"strings"
 	"time"
 
 	"drill/internal/fabric"
@@ -72,19 +74,6 @@ type RunCfg struct {
 	// single epoch swap.
 	RouteDelay units.Time
 
-	// DisablePool turns off fabric packet recycling for this run (the
-	// pre-pool fresh-allocation behaviour). Exists for the byte-identical
-	// pooled-vs-unpooled determinism test and for memory profiling.
-	DisablePool bool
-
-	// LegacyScheduler runs this simulation on the pre-wheel stack: the
-	// plain binary-heap event queue (sim.NewHeapOnly) with per-event
-	// closure scheduling in the fabric (fabric.Config.DisableBatch). The
-	// wheel+batching stack is byte-identical to it by construction; the
-	// scheduler-identity determinism tests hold both to that, and it
-	// remains available for bisecting scheduler suspicions.
-	LegacyScheduler bool
-
 	// Shards > 0 runs this simulation on the sharded parallel engine:
 	// the topology is partitioned into up to that many per-leaf-group
 	// shards (topo.Partition), each owning a private scheduler driven by
@@ -92,9 +81,8 @@ type RunCfg struct {
 	// protocol in sim.ShardGroup. Results are byte-identical to Shards=0
 	// (the sequential engine) at any shard count — the conformance
 	// harness in this package holds every supported cell shape to that.
-	// Mutually exclusive with LegacyScheduler; the balancer must not be
-	// fabric.ShardUnsafe; an attached Tracer may only enable the
-	// barrier-driven sampler kinds (QueueSample, PortUtil).
+	// The balancer must not be fabric.ShardUnsafe; an attached Tracer may
+	// only enable the barrier-driven sampler kinds (QueueSample, PortUtil).
 	Shards int
 
 	// SampleQueues enables the 10µs queue-length STDV sampler of §3.2.3.
@@ -219,6 +207,69 @@ func (r *RunResult) SimRate() float64 {
 	return r.SimSpan.Seconds() / r.Wall.Seconds()
 }
 
+// Fingerprint renders every externally observable result of a finished
+// run — delivery, drop, and reordering totals, the conservation terms,
+// the full FCT distributions, and per-hop telemetry — as a deterministic
+// string. The conformance harness diffs it across engines and pins it in
+// its golden corpus.
+//
+// It deliberately contains no insertion-order float sums: a sharded run
+// folds per-shard sample sets in shard-ID order, so a multiset of float
+// samples is engine-invariant but its running sum (and therefore a mean)
+// can differ in the last ulp. Distributions are rendered by count, order
+// statistics, and a hash over the sorted samples instead — exact equality
+// on strictly more information than a mean, without the fold-order
+// sensitivity.
+func Fingerprint(res *RunResult) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "delivered=%d flows=%d events=%d drops=%d retx=%d rto=%d ooo=%d gro=%d/%d gets=%d\n",
+		res.Delivered, res.Flows, res.Events, res.Drops, res.Retransmits,
+		res.Timeouts, res.OutOfOrder, res.GROBatches, res.GROSegments, res.PacketGets)
+	// The conservation terms and the control-plane generation count: an
+	// epoch swap (fail → restore → table/Quiver recompute) that landed on a
+	// different barrier, drained a different queue, or left a different
+	// packet in flight diverges here even if delivery totals happen to agree.
+	fmt.Fprintf(&b, "sent=%d queued=%d inflight=%d epochs=%d\n",
+		res.Sent, res.QueuedEnd, res.InFlightEnd, res.Epochs)
+	fmt.Fprintf(&b, "fct %s\n", distLine(res.FCT))
+	classes := make([]string, 0, len(res.Classes))
+	for c := range res.Classes {
+		classes = append(classes, c)
+	}
+	sort.Strings(classes)
+	for _, c := range classes {
+		fmt.Fprintf(&b, "fct[%s] %s\n", c, distLine(res.Classes[c]))
+	}
+	fmt.Fprintf(&b, "dupacks %s\nreorders %s\n", histLine(res.DupAcks), histLine(res.WireReorders))
+	fmt.Fprintf(&b, "hops q=%v n=%v d=%v\n", res.Hops.QueueingNs, res.Hops.Packets, res.Hops.Drops)
+	fmt.Fprintf(&b, "stdv up=%g down=%g util=%g elephant=%g\n",
+		res.UplinkSTDV, res.DownlinkSTDV, res.CoreUtil, res.ElephantGbps)
+	return b.String()
+}
+
+// distLine renders a sample distribution without its insertion-order sum:
+// count, the order statistics the reports read, and a hash of the sorted
+// sample multiset (exact to the bit, fold-order independent).
+func distLine(d *metrics.Dist) string {
+	return fmt.Sprintf("n=%d min=%g p50=%g p90=%g p99=%g max=%g h=%016x",
+		d.Count(), d.Min(), d.Percentile(50), d.Percentile(90),
+		d.Percentile(99), d.Max(), d.HashSorted())
+}
+
+// histLine renders an integer histogram exactly, bucket by bucket.
+func histLine(h *metrics.IntHist) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "n=%d [", h.Count())
+	for v := 0; v <= h.Max(); v++ {
+		if v > 0 {
+			b.WriteByte(' ')
+		}
+		fmt.Fprintf(&b, "%d", h.Bucket(v))
+	}
+	b.WriteByte(']')
+	return b.String()
+}
+
 // Run executes one configured simulation and collects its measurements.
 // A run is fully self-contained (own event queue, RNG streams, network and
 // host state), so distinct runs may execute concurrently; see RunAll.
@@ -235,21 +286,13 @@ func Run(cfg RunCfg) *RunResult {
 	}
 	t := cfg.Topo()
 	s := sim.New(cfg.Seed)
-	if cfg.LegacyScheduler {
-		if cfg.Shards > 0 {
-			panic("experiments: LegacyScheduler and Shards are mutually exclusive")
-		}
-		s = sim.NewHeapOnly(cfg.Seed)
-	}
 	fcfg := fabric.Config{
-		Balancer:     cfg.Scheme.New(),
-		Engines:      cfg.Engines,
-		QueueCap:     cfg.QueueCap,
-		VisFactor:    cfg.VisFactor,
-		RouteDelay:   cfg.RouteDelay,
-		DisablePool:  cfg.DisablePool,
-		DisableBatch: cfg.LegacyScheduler,
-		Tracer:       cfg.Tracer,
+		Balancer:   cfg.Scheme.New(),
+		Engines:    cfg.Engines,
+		QueueCap:   cfg.QueueCap,
+		VisFactor:  cfg.VisFactor,
+		RouteDelay: cfg.RouteDelay,
+		Tracer:     cfg.Tracer,
 	}
 	engine := "sequential"
 	var net *fabric.Network
@@ -508,8 +551,6 @@ func provConfig(cfg RunCfg) any {
 		InstantReconverge bool
 		Campaign          string
 		RouteDelayNs      int64
-		DisablePool       bool
-		LegacyScheduler   bool
 		SampleQueues      bool
 		TrackGRO          bool
 		VisFactor         float64
@@ -524,7 +565,6 @@ func provConfig(cfg RunCfg) any {
 		InstantReconverge: cfg.InstantReconverge,
 		Campaign:          cfg.Campaign.Fingerprint(),
 		RouteDelayNs:      int64(cfg.RouteDelay),
-		DisablePool:       cfg.DisablePool,
 		SampleQueues:      cfg.SampleQueues, TrackGRO: cfg.TrackGRO,
 		VisFactor: cfg.VisFactor, Synthetic: cfg.Synthetic != nil,
 		Shards: cfg.Shards,

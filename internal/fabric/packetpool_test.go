@@ -154,26 +154,6 @@ func TestDroppedPoolPacketsAreRecycled(t *testing.T) {
 	}
 }
 
-func TestDisablePoolAllocatesFresh(t *testing.T) {
-	s, n, tp := newNet(t, Config{DisablePool: true})
-	src := n.Host(tp.Hosts[0])
-	dst := tp.Hosts[2]
-	n.Host(dst).Handler = &sink{}
-	pkt := src.AllocPacket()
-	pkt.FlowID = 1
-	pkt.Dst = dst
-	pkt.Size = 1518
-	src.Send(pkt)
-	s.Run()
-	if n.Pool().Gets != 0 || n.Pool().Puts != 0 {
-		t.Fatalf("DisablePool still moved packets through the pool: gets=%d puts=%d",
-			n.Pool().Gets, n.Pool().Puts)
-	}
-	if pkt.FlowID != 1 {
-		t.Fatal("unpooled packet was zeroed at its terminal site")
-	}
-}
-
 // TestHopWaitNoInt32Overflow is the regression test for the per-hop wait
 // accounting: a queueing wait beyond 2.147 s (int32 nanoseconds) must not
 // wrap negative. 200 packets serialized at 1 Mbps make the NIC queue's

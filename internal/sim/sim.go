@@ -47,8 +47,8 @@
 // revolution (anything nearer goes to the near tier, anything farther to
 // a later bucket or the far tier), and the far tier is a heap on the same
 // key that only feeds the wheel. Hence the wheel scheduler dispatches in
-// exactly the order the plain heap would — NewHeapOnly exists to assert
-// that equivalence in tests, byte for byte.
+// exactly the order the plain heap would — NewHeapOnly is the oracle the
+// wheel is fuzzed against, dispatch transcript for dispatch transcript.
 package sim
 
 import (
@@ -258,9 +258,8 @@ func New(seed int64) *Sim {
 
 // NewHeapOnly returns a simulator that bypasses the timing wheel and runs
 // every event through the plain binary heap — the pre-wheel scheduler.
-// Dispatch order is identical to New by construction; this mode exists so
-// equivalence tests can prove it (see TestSchedulerIsByteIdentical) and as
-// a diagnostic fallback when bisecting scheduler suspicions.
+// Dispatch order is identical to New by construction; this mode is the
+// oracle of TestWheelMatchesHeapReference and FuzzWheelVsHeap.
 func NewHeapOnly(seed int64) *Sim {
 	s := New(seed)
 	s.heapOnly = true
@@ -381,25 +380,14 @@ func (s *Sim) AtID(t units.Time, id FnID) {
 //drill:hotpath
 func (s *Sim) AfterID(d units.Time, id FnID) { s.AtID(s.now+d, id) }
 
-// AtKey schedules fn at absolute time t under an event key previously
-// allocated with ReserveKey (or built with ArrivalKey). It is the batched
-// producers' arm operation: a ring that reserved its entries' keys at the
-// instant the unbatched design would have scheduled them re-arms one
-// reusable callback per firing, and the (t, key) pair lands every dispatch
-// in exactly the slot the unbatched event stream gave it. Arming with a
-// stale key is legitimate precisely because the ring preserved FIFO order;
-// t must not be in the past.
-//
-//drill:hotpath
-func (s *Sim) AtKey(t units.Time, key uint64, fn func()) {
-	if t < s.now {
-		panic("sim: event scheduled in the past")
-	}
-	s.schedule(event{at: t, key: key, id: s.alloc(fn, nil)})
-}
-
-// AtKeyID is AtKey over a callback registered with Register — the zero-
-// alloc arm operation the fabric's per-port rings use.
+// AtKeyID schedules the callback registered under id at absolute time t
+// under an event key previously allocated with ReserveKey (or built with
+// ArrivalKey). It is the batched producers' zero-alloc arm operation: a
+// per-port ring that reserved its entries' keys at the instant each entry
+// was produced re-arms one registered callback per firing, and the
+// (t, key) pair lands every dispatch in exactly the slot a per-entry event
+// would have taken. Arming with a stale key is legitimate precisely
+// because the ring preserved FIFO order; t must not be in the past.
 //
 //drill:hotpath
 func (s *Sim) AtKeyID(t units.Time, key uint64, id FnID) {

@@ -38,8 +38,6 @@ type Receiver struct {
 	// fresh counters, so they only count if they genuinely overtake).
 	txMax      int32
 	inversions int
-	prevWaits  [6]int64
-	prevArrive units.Time
 
 	// lastDataTS echoes the send-timestamp of the packet that triggered the
 	// current ACK (per-packet echo → valid sender RTT samples, even for
@@ -97,21 +95,9 @@ func (r *Receiver) onData(pkt *fabric.Packet) {
 			m.outOfOrder.Inc()
 			m.oooDepth.Observe(float64(len(r.sacked)))
 		}
-		// Blame the hop where the late packet waited longest relative to
-		// the packet it arrived behind.
-		best, bestD := 0, int64(-1<<63)
-		for h := 0; h < 6; h++ {
-			if d := pkt.HopWaitNs[h] - r.prevWaits[h]; d > bestD {
-				bestD = d
-				best = h
-			}
-		}
-		r.agent.stats.InversionBlame[best]++
 	} else {
 		r.txMax = pkt.TxSeq
 	}
-	r.prevWaits = pkt.HopWaitNs
-	r.prevArrive = r.agent.sim.Now()
 	seg := gro.Segment{Seq: pkt.Seq, Len: pkt.Len, Payload: pkt.EchoTS}
 	if r.shim != nil {
 		r.shim.Push(seg)

@@ -96,10 +96,6 @@ type Stats struct {
 	// duplicate-ACK amplification).
 	WireReorders metrics.IntHist
 
-	// InversionBlame counts, per hop class, how often that hop contributed
-	// the largest wait difference of an inverted packet pair.
-	InversionBlame [6]int64
-
 	// GROBatches / GROSegments accumulate batching telemetry.
 	GROBatches  int64
 	GROSegments int64
@@ -281,9 +277,6 @@ func (r *Registry) Fold() {
 		}
 		r.Stats.DupAcks.Merge(&ss.DupAcks)
 		r.Stats.WireReorders.Merge(&ss.WireReorders)
-		for h := range ss.InversionBlame {
-			r.Stats.InversionBlame[h] += ss.InversionBlame[h]
-		}
 		r.Stats.GROBatches += ss.GROBatches
 		r.Stats.GROSegments += ss.GROSegments
 		r.Stats.ShimFlushes += ss.ShimFlushes
